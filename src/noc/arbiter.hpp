@@ -3,7 +3,6 @@
 
 #include <bit>
 #include <cstdint>
-#include <vector>
 
 #include "common/types.hpp"
 
@@ -18,29 +17,15 @@ class RoundRobinArbiter {
 
   int inputs() const { return inputs_; }
 
-  /// Grants one of the asserted requests (requests.size() == inputs()),
-  /// returns its index and rotates priority, or returns -1 when no request
-  /// is asserted. Must not be called on a faulty arbiter. Inline: runs for
-  /// every port/VC with requests every cycle.
-  int arbitrate(const std::vector<bool>& requests) {
-    require(static_cast<int>(requests.size()) == inputs_,
-            "RoundRobinArbiter::arbitrate: request vector size mismatch");
-    for (int i = 0; i < inputs_; ++i) {
-      const int idx = (pointer_ + i) % inputs_;
-      if (requests[static_cast<std::size_t>(idx)]) {
-        pointer_ = (idx + 1) % inputs_;
-        return idx;
-      }
-    }
-    return -1;
-  }
-
-  /// Bitmask variant of `arbitrate` for inputs() <= 64: bit i of `requests`
-  /// asserts input i. Same winner and pointer update as the vector form —
-  /// the rotated mask's lowest set bit is the first asserted input at or
-  /// after the priority pointer. Avoids the per-iteration modulo of the
-  /// scan loop; this is the event core's hot path.
+  /// Grants one of the asserted requests, returns its index and rotates
+  /// priority to the input after it, or returns -1 when none is asserted.
+  /// Bit i of `requests` asserts input i (inputs() <= 64). The winner is
+  /// the first asserted input at or after the priority pointer: the rotated
+  /// mask's lowest set bit. Must not be called on a faulty arbiter. Inline:
+  /// runs for every port/VC with requests every cycle.
   int arbitrate_mask(std::uint64_t requests) {
+    require(inputs_ >= 64 || requests >> static_cast<unsigned>(inputs_) == 0,
+            "RoundRobinArbiter::arbitrate_mask: request beyond inputs()");
     if (requests == 0) return -1;
     const unsigned p = static_cast<unsigned>(pointer_);
     // Rotate within inputs_ bits so the pointer's input lands at bit 0
@@ -51,9 +36,21 @@ class RoundRobinArbiter {
                      (requests << (static_cast<unsigned>(inputs_) - p));
     int idx = pointer_ + std::countr_zero(rot);
     if (idx >= inputs_) idx -= inputs_;
-    pointer_ = idx + 1 == inputs_ ? 0 : idx + 1;
+    grant(idx);
     return idx;
   }
+
+  /// Distance of input `idx` from the priority pointer, in arbitration
+  /// order: among asserted inputs, the one with the lowest rank is the one
+  /// arbitrate_mask would grant. Lets a caller arbitrate over an explicit
+  /// request list of any width (rank each, then grant() the lowest).
+  int rank(int idx) const {
+    const int d = idx - pointer_;
+    return d < 0 ? d + inputs_ : d;
+  }
+
+  /// Records a grant to input `idx`: priority moves to the input after it.
+  void grant(int idx) { pointer_ = idx + 1 == inputs_ ? 0 : idx + 1; }
 
   /// Priority pointer (next input to be favoured); exposed for tests.
   int pointer() const { return pointer_; }

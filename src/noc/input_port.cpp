@@ -49,7 +49,8 @@ InputPort::InputPort(int vcs, int depth) : depth_(depth) {
 
 void InputPort::set_mask_sink(RouterVcMasks* m, int port) {
   if (m != nullptr) {
-    require(vcs() <= 32, "InputPort::set_mask_sink: masks need vcs <= 32");
+    require(vcs() <= RouterVcMasks::kMaxVcs,
+            "InputPort::set_mask_sink: masks need vcs <= 32");
     require(port >= 0 && port < RouterVcMasks::kMaxPorts,
             "InputPort::set_mask_sink: port index out of range");
   }

@@ -76,19 +76,19 @@ struct VirtualChannel {
   void clear_borrow_fields();
 };
 
-/// Per-router aggregate of the pipeline-state VC masks the event core's
-/// allocator fast paths consult instead of scanning every VC of every port.
+/// Per-router aggregate of the pipeline-state VC masks the allocators and
+/// the event core consult instead of scanning every VC of every port.
 /// Bit v of `routing[p]` / `vcalloc[p]` / `ready[p]` is set iff physical VC v
 /// of port p is in Routing / in VcAlloc / Active with a buffered flit. The
 /// `*_ports` summaries have bit p set iff the corresponding per-port mask is
 /// non-zero, so an idle stage costs one load. Owned by the Router behind a
 /// move-stable allocation; each InputPort holds a sink pointer plus its port
 /// index and keeps its slice exact on every VC mutation (InputPort::refresh_vc
-/// is idempotent — it recomputes one VC's bits from the current state). Only
-/// usable when vcs <= 32; routers with more VCs leave the sink unset and the
-/// event stages fall back to the scanning paths.
+/// is idempotent — it recomputes one VC's bits from the current state).
+/// Every Router wires one, which is why routers support at most kMaxVcs VCs.
 struct RouterVcMasks {
   static constexpr int kMaxPorts = 8;
+  static constexpr int kMaxVcs = 32;
   std::uint32_t routing[kMaxPorts]{};
   std::uint32_t vcalloc[kMaxPorts]{};
   std::uint32_t ready[kMaxPorts]{};
@@ -183,7 +183,8 @@ class InputPort {
   }
 
   /// Wires this port's slice of the router's VC-state mask aggregate.
-  /// nullptr (standalone or > 32 VCs) disables mask maintenance.
+  /// nullptr (standalone use) disables mask maintenance; the allocators
+  /// need the masks.
   void set_mask_sink(RouterVcMasks* m, int port);
 
   /// Recomputes VC `phys`'s bits in the mask aggregate from its current

@@ -647,8 +647,8 @@ void Mesh::step_event_core(Cycle now) {
     }
   };
   for_each_active([&](Router& r) { r.step_st(now); });
-  for_each_active([&](Router& r) { r.step_sa_event(now); });
-  for_each_active([&](Router& r) { r.step_va_event(now); });
+  for_each_active([&](Router& r) { r.step_sa(now); });
+  for_each_active([&](Router& r) { r.step_va(now); });
   for_each_active([&](Router& r) { r.step_rc_event(now); });
   for (std::size_t w = 0; w < active_router_words_.size(); ++w) {
     std::uint64_t bits = active_router_words_[w];

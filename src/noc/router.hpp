@@ -45,7 +45,7 @@ enum class RcOutcome {
 };
 
 struct RouterConfig {
-  int vcs = 4;       ///< Virtual channels per input port.
+  int vcs = 4;       ///< Virtual channels per input port (1..32).
   int vc_depth = 4;  ///< Flit slots per VC.
   core::RouterMode mode = core::RouterMode::Protected;
   RoutingAlgo routing = RoutingAlgo::XY;
@@ -93,13 +93,11 @@ class Router {
 
   /// Event-core stage variants: bit-identical to the step_* counterparts.
   /// step_accept_event consults the links' next_flit_ready / next_credit_ready
-  /// peeks so idle ports cost two compares; the SA/VA/RC variants consult the
-  /// VC-state mask aggregate so only ports with eligible VCs are visited,
-  /// falling back to the full fault-aware step whenever this router carries
-  /// any fault (or has too many VCs for the masks).
+  /// peeks so idle ports cost two compares; step_rc_event consults the
+  /// VC-state mask aggregate so only ports with a Routing VC are visited.
+  /// (SA and VA have one implementation each, driven by the masks, which
+  /// every core calls.)
   void step_accept_event(Cycle now);
-  void step_sa_event(Cycle now);
-  void step_va_event(Cycle now);
   void step_rc_event(Cycle now);
 
   /// Delivery-event entry points (event core): called by the Mesh when a
@@ -242,16 +240,14 @@ class Router {
   /// True when this router must be stepped next cycle even absent new link
   /// events: it holds buffered flits (retries, blocked VCs, SA competition)
   /// or switch-traversal grants issued by the previous SA stage. With the
-  /// VC-state masks wired, "some flit buffered" is equivalent to "some VC in
+  /// VC-state masks, "some flit buffered" is equivalent to "some VC in
   /// Routing, VcAlloc, or non-empty Active" (a non-empty VC is never Idle:
   /// a head write leaves Idle and the tail pop returns to it), so the check
   /// is two loads instead of a walk over every input port.
   bool has_pending_work() const {
     if (!st_pending_.empty()) return true;
-    if (vc_masks_ != nullptr)
-      return (vc_masks_->routing_ports | vc_masks_->vcalloc_ports |
-              vc_masks_->ready_ports) != 0;
-    return buffered_flits() > 0;
+    return (vc_masks_->routing_ports | vc_masks_->vcalloc_ports |
+            vc_masks_->ready_ports) != 0;
   }
 
   /// Shared accounting sink for this router's input buffers (set by the
@@ -286,9 +282,8 @@ class Router {
   NodeId id_;
   MeshDims dims_;
   RouterConfig cfg_;
-  /// VC pipeline-state masks for the event core's allocator fast paths.
-  /// Heap-allocated so the input ports' sink pointers survive a Router move;
-  /// null when cfg_.vcs > 32 (the event stages then use the scanning paths).
+  /// VC pipeline-state masks driving the allocators and the event core.
+  /// Heap-allocated so the input ports' sink pointers survive a Router move.
   std::unique_ptr<RouterVcMasks> vc_masks_;
   std::vector<InputPort> inputs_;
   std::vector<std::vector<OutVcState>> out_vcs_;  ///< [port][logical vc]

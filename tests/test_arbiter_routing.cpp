@@ -2,6 +2,7 @@
 // dimension-order routing invariants.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <map>
 
 #include "noc/arbiter.hpp"
@@ -12,24 +13,24 @@ namespace {
 
 TEST(RoundRobinArbiter, GrantsOnlyRequesters) {
   RoundRobinArbiter a(4);
-  EXPECT_EQ(a.arbitrate({false, false, false, false}), -1);
-  EXPECT_EQ(a.arbitrate({false, false, true, false}), 2);
+  EXPECT_EQ(a.arbitrate_mask(0b0000), -1);
+  EXPECT_EQ(a.arbitrate_mask(0b0100), 2);
 }
 
 TEST(RoundRobinArbiter, RotatesAfterGrant) {
   RoundRobinArbiter a(4);
-  std::vector<bool> all{true, true, true, true};
-  EXPECT_EQ(a.arbitrate(all), 0);
-  EXPECT_EQ(a.arbitrate(all), 1);
-  EXPECT_EQ(a.arbitrate(all), 2);
-  EXPECT_EQ(a.arbitrate(all), 3);
-  EXPECT_EQ(a.arbitrate(all), 0);
+  const std::uint64_t all = 0b1111;
+  EXPECT_EQ(a.arbitrate_mask(all), 0);
+  EXPECT_EQ(a.arbitrate_mask(all), 1);
+  EXPECT_EQ(a.arbitrate_mask(all), 2);
+  EXPECT_EQ(a.arbitrate_mask(all), 3);
+  EXPECT_EQ(a.arbitrate_mask(all), 0);
 }
 
 TEST(RoundRobinArbiter, FairUnderContention) {
   RoundRobinArbiter a(3);
   std::map<int, int> grants;
-  for (int i = 0; i < 300; ++i) ++grants[a.arbitrate({true, true, true})];
+  for (int i = 0; i < 300; ++i) ++grants[a.arbitrate_mask(0b111)];
   EXPECT_EQ(grants[0], 100);
   EXPECT_EQ(grants[1], 100);
   EXPECT_EQ(grants[2], 100);
@@ -37,23 +38,59 @@ TEST(RoundRobinArbiter, FairUnderContention) {
 
 TEST(RoundRobinArbiter, SkipsNonRequesters) {
   RoundRobinArbiter a(4);
-  EXPECT_EQ(a.arbitrate({true, false, false, true}), 0);
+  EXPECT_EQ(a.arbitrate_mask(0b1001), 0);
   // Pointer is at 1; inputs 1, 2 idle -> grant 3.
-  EXPECT_EQ(a.arbitrate({true, false, false, true}), 3);
-  EXPECT_EQ(a.arbitrate({true, false, false, true}), 0);
+  EXPECT_EQ(a.arbitrate_mask(0b1001), 3);
+  EXPECT_EQ(a.arbitrate_mask(0b1001), 0);
 }
 
 TEST(RoundRobinArbiter, SizeMismatchThrows) {
+  // A request bit at or beyond inputs() names no input.
   RoundRobinArbiter a(4);
-  EXPECT_THROW(a.arbitrate({true, true}), std::invalid_argument);
+  EXPECT_THROW(a.arbitrate_mask(0b10011), std::invalid_argument);
 }
 
 TEST(RoundRobinArbiter, PointerSetter) {
   RoundRobinArbiter a(4);
   a.set_pointer(2);
-  EXPECT_EQ(a.arbitrate({true, true, true, true}), 2);
+  EXPECT_EQ(a.arbitrate_mask(0b1111), 2);
   EXPECT_THROW(a.set_pointer(4), std::invalid_argument);
   EXPECT_THROW(a.set_pointer(-1), std::invalid_argument);
+}
+
+TEST(RoundRobinArbiter, RankAndGrantMatchArbitrateMask) {
+  // Arbitrating over an explicit request list (lowest rank() wins, then
+  // grant()) picks the same input and leaves the same pointer as
+  // arbitrate_mask, for every pointer and request set of a 6-input arbiter
+  // and for full-width 64-input ones.
+  for (const int n : {6, 64}) {
+    std::uint64_t x = 0x9e3779b97f4a7c15ull;
+    const int sets = n == 6 ? 64 : 500;
+    for (int ptr = 0; ptr < n; ++ptr) {
+      for (int k = 1; k < sets; ++k) {
+        std::uint64_t req = static_cast<std::uint64_t>(k);
+        if (n == 64) {
+          x ^= x << 13;
+          x ^= x >> 7;
+          x ^= x << 17;
+          req = x;
+        }
+        if (req == 0) continue;
+        RoundRobinArbiter by_mask(n);
+        RoundRobinArbiter by_rank(n);
+        by_mask.set_pointer(ptr);
+        by_rank.set_pointer(ptr);
+        int best = -1;
+        for (int i = 0; i < n; ++i) {
+          if ((req >> static_cast<unsigned>(i) & 1u) == 0) continue;
+          if (best < 0 || by_rank.rank(i) < by_rank.rank(best)) best = i;
+        }
+        by_rank.grant(best);
+        EXPECT_EQ(by_mask.arbitrate_mask(req), best);
+        EXPECT_EQ(by_mask.pointer(), by_rank.pointer());
+      }
+    }
+  }
 }
 
 TEST(MeshDims, CoordRoundTrip) {
