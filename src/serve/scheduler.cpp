@@ -75,7 +75,14 @@ std::uint64_t PointScheduler::submit(
     const std::lock_guard<std::mutex> lock(q.mu);
     q.lane[li].push_back({std::move(tasks[t]), id, enqueue_us});
   }
-  pending_[li].fetch_add(tasks.size());
+  {
+    // Published under sleep_mu_: a worker tests pending_ under it before
+    // it sleeps, so the count cannot rise between that test and the wait
+    // (a lost wake-up that would leave the tasks queued with every worker
+    // asleep).
+    const std::lock_guard<std::mutex> lock(sleep_mu_);
+    pending_[li].fetch_add(tasks.size());
+  }
   cv_work_.notify_all();
   return id;
 }
@@ -92,7 +99,13 @@ bool PointScheduler::try_claim(std::size_t self, Lane lane, Task& out) {
       return true;
     }
   }
-  if (queues_.size() > 1) steal_attempts_.fetch_add(1);
+  // Probing peers counts as a steal attempt only when the lane has queued
+  // work: an idle worker polling empty deques is not contending for
+  // anything. A task can sit in a deque just before submit() publishes it
+  // in pending_, so a steal that finds one uncounted counts its attempt
+  // first, keeping steal_attempts >= steals at every instant.
+  const bool counted = queues_.size() > 1 && pending_[li].load() > 0;
+  if (counted) steal_attempts_.fetch_add(1);
   for (std::size_t k = 1; k < queues_.size(); ++k) {
     WorkerQueues& victim = *queues_[(self + k) % queues_.size()];
     const std::lock_guard<std::mutex> lock(victim.mu);
@@ -100,6 +113,7 @@ bool PointScheduler::try_claim(std::size_t self, Lane lane, Task& out) {
       out = std::move(victim.lane[li].back());
       victim.lane[li].pop_back();
       pending_[li].fetch_sub(1);
+      if (!counted) steal_attempts_.fetch_add(1);
       steals_.fetch_add(1);
       return true;
     }
@@ -190,6 +204,12 @@ void PointScheduler::stop() {
       dropped_.fetch_add(count);
       complete_job_tasks(job, count, /*dropped=*/true);
     }
+  }
+  {
+    // Taken before notifying for the same reason submit() publishes under
+    // it: a worker between its predicate test and its wait must not miss
+    // stop_.
+    const std::lock_guard<std::mutex> lock(sleep_mu_);
   }
   cv_work_.notify_all();
   for (auto& w : workers_)

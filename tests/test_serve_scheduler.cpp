@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <functional>
 #include <future>
@@ -254,4 +255,48 @@ TEST(ServeScheduler, StopDropsQueuedWorkWithoutStrandingWaiters) {
   std::atomic<int> late{0};
   EXPECT_EQ(sched.submit(Lane::Interactive, counting_tasks(late, 2)), 0u);
   EXPECT_EQ(late.load(), 0);
+}
+
+// Idle workers poll their own and their peers' empty deques when they
+// start and whenever they wake; with no work queued anywhere none of that
+// is a steal attempt. The assertion holds under every interleaving (a
+// worker that has not polled yet counts nothing either); the short sleep
+// only gives the workers time to do their polling first.
+TEST(ServeScheduler, IdlePollsAreNotStealAttempts) {
+  PointScheduler sched(4);
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_EQ(sched.stats().steal_attempts, 0u);
+
+  std::atomic<int> ran{0};
+  sched.wait(sched.submit(Lane::Bulk, counting_tasks(ran, 1)));
+  EXPECT_EQ(ran.load(), 1);
+  const PointScheduler::Stats s = sched.stats();
+  EXPECT_GE(s.steal_attempts, s.steals);
+}
+
+// Submission racing the workers' sleep: every round submits one task just
+// as the workers, having drained the previous one, test the sleep
+// predicate and block. A count published outside the sleep mutex can land
+// between that test and the wait, leaving the task queued with every
+// worker asleep; the round's deadline turns such a lost wake-up into a
+// failure instead of a hang. Runs in the TSan preset (smoke label).
+TEST(ServeScheduler, SubmitRacingWorkerSleepNeverStrandsTasks) {
+  constexpr int kRounds = 3000;
+  for (const int workers : {1, 2}) {
+    PointScheduler sched(workers);
+    std::atomic<int> ran{0};
+    for (int i = 0; i < kRounds; ++i) {
+      const Lane lane = i % 2 == 0 ? Lane::Interactive : Lane::Bulk;
+      const std::uint64_t job = sched.submit(lane, counting_tasks(ran, 1));
+      const auto deadline =
+          std::chrono::steady_clock::now() + std::chrono::seconds(20);
+      while (!sched.finished(job)) {
+        ASSERT_LT(std::chrono::steady_clock::now(), deadline)
+            << "task stranded in round " << i << " with " << workers
+            << " worker(s)";
+        std::this_thread::yield();
+      }
+    }
+    EXPECT_EQ(ran.load(), kRounds);
+  }
 }
