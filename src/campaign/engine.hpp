@@ -169,7 +169,7 @@ struct RunOutcome {
 /// specs; propagates exceptions from run_point.
 RunOutcome run_campaign(const CampaignSpec& spec, const RunOptions& opts);
 
-/// Convenience for in-process consumers (the bench wrappers): run to
+/// Convenience for in-process consumers (tests, perfbench): run to
 /// completion with no checkpointing and return the result.
 CampaignResult run_inline(const CampaignSpec& spec, bool smoke = false);
 
@@ -182,8 +182,8 @@ CampaignResult result_from_json(const std::string& text);
 void write_result_file(const CampaignResult& r, const std::string& path);
 CampaignResult read_result_file(const std::string& path);
 
-/// Human-readable table of every point and metric (the bench wrappers print
-/// this; the library itself never writes to stdout).
+/// Human-readable table of every point and metric (rnoc_campaign --print
+/// prints this; the library itself never writes to stdout).
 std::string format_result(const CampaignResult& r);
 
 /// Serialization of a single point (the cache-entry payload). The text is

@@ -1,10 +1,6 @@
 // Shared simulation setup for the Figure 7 / Figure 8 latency campaigns and
 // the load/ablation sweeps: the paper's 8x8 protected mesh, its §IX fault
 // schedule, and the (fault-free, faulted) job pair per application.
-//
-// This used to live in bench/latency_common.hpp; it moved into the library
-// so the campaign registry and the bench wrappers share one definition of
-// the experiment (bench/latency_common.hpp now forwards here).
 #pragma once
 
 #include <cstdint>

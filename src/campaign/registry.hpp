@@ -4,8 +4,7 @@
 // Tables I-III, the MTTF equations, the SPF Monte Carlo, the 45 nm
 // area/power/critical-path synthesis, the SPLASH-2/PARSEC latency figures,
 // and the load/VC/environment sweeps. The `rnoc_campaign` CLI drives the
-// registry end to end; the per-figure bench binaries are thin wrappers over
-// `run_registry_inline`.
+// registry end to end; `run_registry_inline` runs one entry in-process.
 #pragma once
 
 #include <string>

@@ -27,6 +27,8 @@ class RunningStats {
   /// Half-width of the normal-approximation 95% confidence interval.
   double ci95_halfwidth() const;
 
+  friend bool operator==(const RunningStats&, const RunningStats&) = default;
+
  private:
   std::uint64_t n_ = 0;
   double mean_ = 0.0;
@@ -61,6 +63,8 @@ class Histogram {
   double quantile(double q) const;
 
   std::string to_string(std::size_t max_rows = 16) const;
+
+  friend bool operator==(const Histogram&, const Histogram&) = default;
 
  private:
   double lo_, hi_;

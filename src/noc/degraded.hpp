@@ -134,6 +134,8 @@ struct DegradedStats {
     flits_blackholed += o.flits_blackholed;
     frozen_cycles += o.frozen_cycles;
   }
+
+  friend bool operator==(const DegradedStats&, const DegradedStats&) = default;
 };
 
 /// Owns the death / drain / reroute state machine and the end-to-end

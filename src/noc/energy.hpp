@@ -56,6 +56,8 @@ struct EnergyReport {
                ? total_pj() / static_cast<double>(flits_delivered)
                : 0.0;
   }
+
+  friend bool operator==(const EnergyReport&, const EnergyReport&) = default;
 };
 
 /// Computes the energy report from the aggregate router event counters.

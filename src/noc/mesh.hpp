@@ -1,19 +1,17 @@
 // 2D-mesh network: routers, NIs and the links wiring them together.
 //
-// The mesh offers three stepping cores (MeshConfig::core):
+// The mesh offers two stepping cores (MeshConfig::core). Both run the same
+// router stages and NI step; they differ only in scheduling:
 //
-//  - FullSweep: the seed behaviour — every router, every stage, every
-//    cycle. Kept as the bit-identity oracle for the determinism tests.
-//  - ActiveList: active-router scheduling — only routers with work
-//    (buffered flits, pending switch-traversal grants, or a link event due
-//    this cycle) and NIs with injection work are stepped. Quiescent
-//    components are re-woken exactly at the cycle a link event becomes
-//    takeable, so the schedule is bit-identical to the full sweep.
-//  - EventDriven (default): the ActiveList wake machinery plus per-stage
-//    event gating (link ready peeks, mask-based allocator fast paths) and
-//    stalled-router retirement; with Simulator's idle fast-forward it jumps
-//    the clock across cycles in which no component can make progress.
-//    Bit-identical to both other cores (test-enforced).
+//  - FullSweep: every router and NI, every stage, every cycle, stage-major
+//    (all routers' accept, then all routers' ST, ...). It keeps no queues,
+//    so it is the scheduling oracle the determinism tests compare against.
+//  - EventDriven (default): link deliveries are queued and dispatched at
+//    the cycle they become takeable; only routers with work and NIs with
+//    injection work are stepped; stalled fault-free routers retire until a
+//    wake; with Simulator's idle fast-forward it jumps the clock across
+//    cycles in which no component can make progress. Bit-identical to
+//    FullSweep (test-enforced).
 //
 // Incremental accounting: a NetCounters instance shared with every link,
 // input port and NI makes flits_in_network(), packets_delivered() and
@@ -36,12 +34,11 @@
 
 namespace rnoc::noc {
 
-/// Simulation core selection (see the file comment). All three produce
+/// Simulation core selection (see the file comment). Both produce
 /// bit-identical SimReports; they differ only in how much work they skip.
 enum class SimCore : std::uint8_t {
-  FullSweep,    ///< Seed reference: step everything every cycle.
-  ActiveList,   ///< Skip quiescent routers/NIs (wake scheduling).
-  EventDriven,  ///< ActiveList + stage gating + idle fast-forward.
+  FullSweep,    ///< Scheduling oracle: step everything every cycle.
+  EventDriven,  ///< Delivery/wake queues, retirement, idle fast-forward.
 };
 
 const char* sim_core_name(SimCore core);
@@ -55,8 +52,8 @@ struct MeshConfig {
   double link_single_ber = 0.0;
   double link_double_ber = 0.0;
   std::uint64_t ecc_seed = 0x5ecded;
-  /// Which stepping core runs this mesh. All cores are bit-identical;
-  /// FullSweep / ActiveList exist as oracles and for benchmarking.
+  /// Which stepping core runs this mesh. Both are bit-identical; FullSweep
+  /// exists as the scheduling oracle.
   SimCore core = SimCore::EventDriven;
   /// Observability layer settings; only consulted in builds configured
   /// with -DRNOC_TRACE=ON (a POD, so it is embedded unconditionally).
@@ -90,6 +87,7 @@ class Mesh {
  private:
   /// The EventDriven body of step(): bitmask active sets, delivery-record
   /// dispatch, fused per-router stepping (stage-major in traced builds).
+  /// The rest of step() is FullSweep's stage-major sweep.
   void step_event_core(Cycle now);
 
  public:
@@ -188,8 +186,8 @@ class Mesh {
   /// re-primes the invariant checker. Returns the number of VCs purged.
   int reclaim_truncated(Cycle now);
 
-  /// Routers stepped by the most recent step() call (== nodes() when
-  /// active scheduling is off). Scheduling telemetry for benchmarks.
+  /// Routers stepped by the most recent step() call (== nodes() under
+  /// FullSweep). Scheduling telemetry.
   int routers_stepped_last_cycle() const { return stepped_last_cycle_; }
 
   /// Sum of all routers' event counters.
@@ -225,12 +223,12 @@ class Mesh {
                     NetworkInterface* up_ni, Router* down_router,
                     int down_port, NetworkInterface* down_ni);
   /// Wake queue index space: routers are [0, nodes()), NIs are
-  /// [nodes(), 2 * nodes()).
+  /// [nodes(), 2 * nodes()). A no-op under FullSweep, which steps
+  /// everything anyway.
   void schedule_wake(int idx, Cycle at);
-  void mark_runnable(int idx);
 
-  /// EventDriven counterpart of mark_runnable: sets the component's bit in
-  /// the active bitmask words (idempotent, no dedup byte needed).
+  /// Sets the component's bit in the active bitmask words (idempotent, no
+  /// dedup byte needed).
   void mark_active_event(int idx) {
     if (idx < nodes()) {
       active_router_words_[static_cast<std::size_t>(idx) >> 6] |=
@@ -253,9 +251,9 @@ class Mesh {
   void schedule_delivery(std::uint32_t rec, Cycle at);
 
   /// Link event-hook target (see Link::set_event_hook): one precomputed
-  /// record per link direction. Router sinks become delivery records under
-  /// the EventDriven core and plain wakes under ActiveList; a record with
-  /// the NI marker (low nibble 0xE) wakes NI `rec >> 4` under either core.
+  /// record per link direction. Router sinks become delivery records; a
+  /// record with the NI marker (low nibble 0xE) wakes NI `rec >> 4`. Only
+  /// the EventDriven core installs the hook: FullSweep keeps no queues.
   void link_event(std::uint32_t rec, Cycle at);
   static void link_event_hook(void* ctx, std::uint32_t rec, Cycle at) {
     static_cast<Mesh*>(ctx)->link_event(rec, at);
@@ -268,15 +266,10 @@ class Mesh {
   NetCounters counters_;
   SelfHealNet self_heal_;  ///< Shared fault-vector net (inert until armed).
 
-  // --- Active-router scheduling state ---
-  std::vector<std::uint8_t> runnable_;  ///< [0,n): routers; [n,2n): NIs.
-  std::vector<int> active_routers_;
-  std::vector<int> active_nis_;
-  /// EventDriven active sets as bitmask words (bit b of word w = component
-  /// 64w + b): set-bit iteration visits components in ascending order with
-  /// no sort, no dedup byte and no compaction, and retirement is a bit
-  /// clear. The ActiveList core keeps the sorted-vector machinery above as
-  /// the benchmark baseline.
+  // --- EventDriven scheduling state ---
+  /// Active sets as bitmask words (bit b of word w = component 64w + b):
+  /// set-bit iteration visits components in ascending order with no sort,
+  /// no dedup byte and no compaction, and retirement is a bit clear.
   std::vector<std::uint64_t> active_router_words_;
   std::vector<std::uint64_t> active_ni_words_;
   // Wake queue as a ring of per-cycle buckets instead of a priority queue:
@@ -291,12 +284,12 @@ class Mesh {
   /// (0 = none queued). A busy router is woken by every link event it is
   /// party to — up to ~10 identical (idx, cycle) wakes per cycle otherwise.
   std::vector<Cycle> last_wake_at_;
-  /// Link-delivery queue (EventDriven core): same bucket-ring layout as the
-  /// wake queue, but each bucket is a bitmap over record values (see
-  /// schedule_delivery) — insertion is one OR, duplicates collapse, and
-  /// set-bit iteration yields the sweep's accept order with no sorting.
-  /// Replaces the per-active-router scan of all ten link peeks per cycle
-  /// with a dispatch of exactly the deliveries that are due.
+  /// Link-delivery queue: same bucket-ring layout as the wake queue, but
+  /// each bucket is a bitmap over record values (see schedule_delivery) —
+  /// insertion is one OR, duplicates collapse, and set-bit iteration yields
+  /// the sweep's accept order with no sorting. Replaces a per-active-router
+  /// scan of all ten link peeks per cycle with a dispatch of exactly the
+  /// deliveries that are due.
   std::vector<std::vector<std::uint64_t>> delivery_buckets_;
   std::vector<std::uint32_t> overdue_deliveries_;
   std::vector<std::uint64_t> due_delivery_words_;  ///< Per-step scratch.

@@ -45,22 +45,17 @@ void NetworkInterface::set_measure_window(Cycle begin, Cycle end) {
 }
 
 void NetworkInterface::step(Cycle now) {
-  eject(now);
-  inject(now);
-}
-
-void NetworkInterface::step_event(Cycle now) {
-  // Identical to step(): eject and the credit drain are no-ops when the
-  // link peeks lie in the future, so gating them is exact.
+  // eject and the credit drain are no-ops when the link peeks lie in the
+  // future, so gating them is exact: an idle ejection path or credit
+  // channel costs a compare instead of a virtual take call.
   if (from_router_ != nullptr && from_router_->next_flit_ready() <= now)
     eject(now);
   if (to_router_ == nullptr) return;
   if (to_router_->next_credit_ready() <= now) drain_router_credits(now);
-  inject_after_credits(now);
+  inject(now);
 }
 
 void NetworkInterface::eject(Cycle now) {
-  if (from_router_ == nullptr) return;
   while (auto f = from_router_->take_flit(now)) {
     if (!poisoned_.empty() && poison_swallow(*f)) {
       // Remnant of a reclaimed fragment: return the credit and vanish —
@@ -116,12 +111,6 @@ void NetworkInterface::eject(Cycle now) {
   }
 }
 
-void NetworkInterface::inject(Cycle now) {
-  if (to_router_ == nullptr) return;
-  drain_router_credits(now);
-  inject_after_credits(now);
-}
-
 /// Drains credits from the router's local input port.
 void NetworkInterface::drain_router_credits(Cycle now) {
   while (auto c = to_router_->take_credit(now)) {
@@ -133,7 +122,7 @@ void NetworkInterface::drain_router_credits(Cycle now) {
   }
 }
 
-void NetworkInterface::inject_after_credits(Cycle now) {
+void NetworkInterface::inject(Cycle now) {
   if (!sending_) {
     if (queue_.empty()) return;
     if (inject_gate_ && !inject_gate_(queue_.front())) return;

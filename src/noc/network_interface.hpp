@@ -67,14 +67,10 @@ class NetworkInterface {
   /// (warmup/drain packets are excluded).
   void set_measure_window(Cycle begin, Cycle end);
 
-  /// Called once per cycle by the simulator: ejects arrived flits (returning
-  /// credits), then injects at most one flit of the packet in flight.
+  /// Called once per cycle by the mesh: ejects arrived flits (returning
+  /// credits), drains the router's credits, then injects at most one flit
+  /// of the packet in flight. Idle links cost one ready-peek compare each.
   void step(Cycle now);
-
-  /// Event-core variant of step(): bit-identical, but consults the links'
-  /// ready peeks so an idle ejection path / credit channel costs a compare
-  /// instead of a virtual take call.
-  void step_event(Cycle now);
 
   /// Restores the NI to its just-constructed state (Mesh::reset_for_run).
   /// Simulator-owned hooks (delivery, inject gate, sent) are cleared — the
@@ -142,7 +138,7 @@ class NetworkInterface {
   void set_counters(NetCounters* c) { counters_ = c; }
 
   /// Scheduling hook (set by the Mesh): invoked when a packet is enqueued so
-  /// the mesh can mark this NI runnable without polling all NIs.
+  /// the mesh can mark this NI active without polling all NIs.
   using WakeHook = std::function<void()>;
   void set_wake_hook(WakeHook hook) { wake_hook_ = std::move(hook); }
 
@@ -166,9 +162,8 @@ class NetworkInterface {
   };
 
   void eject(Cycle now);
-  void inject(Cycle now);
   void drain_router_credits(Cycle now);
-  void inject_after_credits(Cycle now);
+  void inject(Cycle now);
 
   /// True when `f` is a poisoned remnant eject() must swallow. Disarms the
   /// matching entry on a retransmission of the same id. See poison_packet().

@@ -203,44 +203,57 @@ int Router::buffered_flits() const {
   return n;
 }
 
-void Router::accept_flit_from(Link& l, int p, Cycle now) {
-  auto f = l.take_flit(now);
-  if (!f) return;
-  if (dead_) {
-    // Black hole: swallow the flit but return its credit at once, so
-    // the upstream neighbour's flow control stays conserved.
-    l.push_credit({f->vc, f->is_tail()}, now);
-    ++stats_.flits_swallowed;
-  } else if (inputs_[static_cast<std::size_t>(p)].dropping(f->vc)) {
-    // Remainder of a packet purge_unroutable dropped: the head is gone, so
-    // swallow the stragglers with an immediate credit; the tail closes the
-    // filter and frees the upstream VC (its credit carries vc_free).
-    l.push_credit({f->vc, f->is_tail()}, now);
-    if (f->is_tail()) inputs_[static_cast<std::size_t>(p)].clear_dropping(f->vc);
-    ++stats_.flits_dropped;
-  } else if (inputs_[static_cast<std::size_t>(p)].poison_swallow(*f)) {
-    // In-flight remnant of a fragment the reclamation sweep purged. No tail
-    // will ever close this stream (it died at the dead router), so the
-    // upstream allocation was released by the sweep itself; the credit here
-    // only refunds the buffer slot.
-    l.push_credit({f->vc, f->is_tail()}, now);
-    ++stats_.flits_dropped;
-  } else {
-    inputs_[static_cast<std::size_t>(p)].write(*f);
-    ++stats_.buffer_writes;
-#ifdef RNOC_TRACE
-    if (obs_ && f->is_head()) {
+Cycle Router::accept_flit_due(int p, Cycle now) {
+  Link* l = in_links_[static_cast<std::size_t>(p)];
+  if (l == nullptr) return kNeverCycle;
+  // A take_flit whose peek lies in the future returns nullopt without side
+  // effects (the EccLink error roll only happens on an actual in-ring
+  // delivery, which the peek covers), so the peek gate is exact: it keeps
+  // idle ports and spurious deliveries (an already-taken or retimed flit)
+  // at one compare.
+  if (l->next_flit_ready() <= now) {
+    if (auto f = l->take_flit(now)) {
       InputPort& ip = inputs_[static_cast<std::size_t>(p)];
-      ip.vc(ip.physical_of(f->vc)).obs_arrived = now;
-      obs_->on_event(obs::EventKind::BufWrite, now, f->packet, id_, p,
-                     ip.physical_of(f->vc));
-    }
+      if (dead_) {
+        // Black hole: swallow the flit but return its credit at once, so
+        // the upstream neighbour's flow control stays conserved.
+        l->push_credit({f->vc, f->is_tail()}, now);
+        ++stats_.flits_swallowed;
+      } else if (ip.dropping(f->vc)) {
+        // Remainder of a packet purge_unroutable dropped: the head is gone,
+        // so swallow the stragglers with an immediate credit; the tail
+        // closes the filter and frees the upstream VC (its credit carries
+        // vc_free).
+        l->push_credit({f->vc, f->is_tail()}, now);
+        if (f->is_tail()) ip.clear_dropping(f->vc);
+        ++stats_.flits_dropped;
+      } else if (ip.poison_swallow(*f)) {
+        // In-flight remnant of a fragment the reclamation sweep purged. No
+        // tail will ever close this stream (it died at the dead router), so
+        // the upstream allocation was released by the sweep itself; the
+        // credit here only refunds the buffer slot.
+        l->push_credit({f->vc, f->is_tail()}, now);
+        ++stats_.flits_dropped;
+      } else {
+        ip.write(*f);
+        ++stats_.buffer_writes;
+#ifdef RNOC_TRACE
+        if (obs_ && f->is_head()) {
+          ip.vc(ip.physical_of(f->vc)).obs_arrived = now;
+          obs_->on_event(obs::EventKind::BufWrite, now, f->packet, id_, p,
+                         ip.physical_of(f->vc));
+        }
 #endif
+      }
+    }
   }
+  return l->next_flit_ready();
 }
 
-void Router::drain_credits_from(Link& l, int p, Cycle now) {
-  while (auto c = l.take_credit(now)) {
+void Router::drain_credits_due(int p, Cycle now) {
+  Link* l = out_links_[static_cast<std::size_t>(p)];
+  if (l == nullptr || l->next_credit_ready() > now) return;
+  while (auto c = l->take_credit(now)) {
     auto& ov = out_vcs_[static_cast<std::size_t>(p)]
                        [static_cast<std::size_t>(c->vc)];
     ++ov.credits;
@@ -252,49 +265,16 @@ void Router::drain_credits_from(Link& l, int p, Cycle now) {
 
 void Router::step_accept(Cycle now) {
   for (int p = 0; p < kMeshPorts; ++p) {
-    if (Link* l = in_links_[static_cast<std::size_t>(p)])
-      accept_flit_from(*l, p, now);
-    if (Link* l = out_links_[static_cast<std::size_t>(p)])
-      drain_credits_from(*l, p, now);
+    accept_flit_due(p, now);
+    drain_credits_due(p, now);
   }
-}
-
-void Router::step_accept_event(Cycle now) {
-  // Identical to step_accept: a take_flit / take_credit call whose peek lies
-  // in the future returns nullopt without side effects (the EccLink error
-  // roll only happens on an actual in-ring delivery, which the peek covers),
-  // so gating the calls is exact.
-  for (int p = 0; p < kMeshPorts; ++p) {
-    if (Link* l = in_links_[static_cast<std::size_t>(p)];
-        l && l->next_flit_ready() <= now)
-      accept_flit_from(*l, p, now);
-    if (Link* l = out_links_[static_cast<std::size_t>(p)];
-        l && l->next_credit_ready() <= now)
-      drain_credits_from(*l, p, now);
-  }
-}
-
-Cycle Router::accept_flit_due(int p, Cycle now) {
-  Link* l = in_links_[static_cast<std::size_t>(p)];
-  if (l == nullptr) return kNeverCycle;
-  // The peek guard keeps spurious deliveries (an already-taken or retimed
-  // flit) side-effect free, exactly like step_accept_event.
-  if (l->next_flit_ready() <= now) accept_flit_from(*l, p, now);
-  return l->next_flit_ready();
-}
-
-void Router::drain_credits_due(int p, Cycle now) {
-  if (Link* l = out_links_[static_cast<std::size_t>(p)];
-      l && l->next_credit_ready() <= now)
-    drain_credits_from(*l, p, now);
 }
 
 bool Router::step_cycle_event(Cycle now) {
   if (dead_) return false;
   // Each stage runs only when its mask says some VC is in that stage (the
   // allocators early-return on empty masks, so the skip is exact), and
-  // `progressed` tracks whether any stage did something this cycle without
-  // summing the stats digest:
+  // `progressed` tracks whether any stage did something this cycle:
   //  - pending ST grants always traverse when fault-free (can_traverse is
   //    identically true), so entering ST with grants is progress;
   //  - SA progress is visible as new grants in st_pending_;
@@ -312,7 +292,7 @@ bool Router::step_cycle_event(Cycle now) {
     progressed |= stats_.va_allocations != va_before;
   }
   if (vc_masks_->routing_ports != 0) {
-    step_rc_event(now);
+    step_rc(now);
     progressed = true;
   }
   if (!st_pending_.empty()) return true;
@@ -321,10 +301,9 @@ bool Router::step_cycle_event(Cycle now) {
   // is always bit-identical — the stages are idempotent no-ops on a
   // stalled router.
   if (faults_.count() != 0) return has_pending_work();
-  // Retirement (return false) therefore fires exactly when the digest
-  // comparison would have found zero progress: a stalled fault-free router
-  // whose every un-stalling input (flit, credit, fault) arrives through a
-  // wake or delivery.
+  // Retirement (return false) therefore fires exactly when no stage made
+  // progress: a stalled fault-free router whose every un-stalling input
+  // (flit, credit, fault) arrives through a wake or delivery.
   return progressed && has_pending_work();
 }
 
@@ -555,12 +534,14 @@ RcOutcome Router::compute_route(VirtualChannel& vc, const Flit& head,
 void Router::step_rc(Cycle now) {
   if (dead_) return;
   // One RC computation per input port per cycle (one RC unit per port),
-  // round-robin over the VCs waiting in Routing state.
+  // round-robin over the VCs waiting in Routing state. compute_route carries
+  // the RC-unit fault logic. Only ports whose routing-mask bit is set are
+  // visited: a port with no Routing VC has no RC work, and its round-robin
+  // pointer only moves when a VC is served.
+  const std::uint32_t routing_ports = vc_masks_->routing_ports;
   for (int p = 0; p < kMeshPorts; ++p) {
+    if ((routing_ports >> static_cast<unsigned>(p) & 1u) == 0) continue;
     InputPort& ip = inputs_[static_cast<std::size_t>(p)];
-    // Routing state implies a buffered head flit; an empty port has no RC
-    // work and its round-robin pointer only moves when a VC is served.
-    if (ip.buffered_flits() == 0) continue;
     int& ptr = rc_rr_[static_cast<std::size_t>(p)];
 #ifdef RNOC_TRACE
     int routing_vcs = 0;
@@ -572,71 +553,6 @@ void Router::step_rc(Cycle now) {
                                     static_cast<std::uint64_t>(routing_vcs));
         // The single per-port RC unit serves exactly one VC; the rest never
         // reach it this cycle.
-        if (routing_vcs > 1)
-          obs_->metrics().add_stall(id_, obs::Stage::Rc,
-                                    obs::StallCause::Starved,
-                                    static_cast<std::uint64_t>(routing_vcs - 1));
-      }
-    }
-#endif
-    for (int i = 0; i < cfg_.vcs; ++i) {
-      const int v = (ptr + i) % cfg_.vcs;
-      VirtualChannel& vc = ip.vc(v);
-      if (vc.state != VcState::Routing) continue;
-      require(!vc.buffer.empty() && vc.buffer.front().is_head(),
-              "Router::step_rc: Routing VC without a head flit");
-      const RcOutcome outcome = compute_route(vc, vc.buffer.front(), p, v, now);
-      if (outcome == RcOutcome::Granted) {
-        vc.state = VcState::VcAlloc;
-        ip.refresh_vc(v);
-#ifdef RNOC_TRACE
-        if (obs_) {
-          obs_->metrics().add_grant(id_, obs::Stage::Rc);
-          obs_->on_event(obs::EventKind::Rc, now, vc.buffer.front().packet,
-                         id_, p, v);
-        }
-#endif
-      } else {
-        ++stats_.blocked_vc_cycles;
-#ifdef RNOC_TRACE
-        if (obs_) {
-          obs_->metrics().add_stall(id_, obs::Stage::Rc,
-                                    outcome == RcOutcome::Unreachable
-                                        ? obs::StallCause::RouterDead
-                                        : obs::StallCause::FaultBlocked);
-          obs_->on_event(obs::EventKind::FaultBlock, now,
-                         vc.buffer.front().packet, id_, p, v);
-        }
-#endif
-      }
-      ptr = (v + 1) % cfg_.vcs;
-      break;
-    }
-  }
-}
-
-void Router::step_rc_event(Cycle now) {
-  if (dead_) return;
-  // Identical to step_rc (including under faults: compute_route carries the
-  // RC-unit fault logic internally). Ports are pre-filtered through the
-  // routing mask — a port with no Routing VC does nothing in
-  // step_rc (the round-robin scan finds no candidate and the pointer only
-  // moves when a VC is served), so the skip is exact — and the round-robin
-  // modulo is replaced by conditional subtraction.
-  const std::uint32_t routing_ports = vc_masks_->routing_ports;
-  for (int p = 0; p < kMeshPorts; ++p) {
-    if ((routing_ports >> static_cast<unsigned>(p) & 1u) == 0) continue;
-    InputPort& ip = inputs_[static_cast<std::size_t>(p)];
-    if (ip.buffered_flits() == 0) continue;
-    int& ptr = rc_rr_[static_cast<std::size_t>(p)];
-#ifdef RNOC_TRACE
-    int routing_vcs = 0;
-    if (obs_) {
-      for (int i = 0; i < cfg_.vcs; ++i)
-        if (ip.vc(i).state == VcState::Routing) ++routing_vcs;
-      if (routing_vcs != 0) {
-        obs_->metrics().add_request(id_, obs::Stage::Rc,
-                                    static_cast<std::uint64_t>(routing_vcs));
         if (routing_vcs > 1)
           obs_->metrics().add_stall(id_, obs::Stage::Rc,
                                     obs::StallCause::Starved,

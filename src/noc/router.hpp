@@ -2,14 +2,21 @@
 // (paper §II) that can run as the unprotected baseline or as the paper's
 // fault-tolerant protected router (§V), selected by RouterConfig::mode.
 //
-// Per simulation cycle the owning Mesh calls, in order:
-//   step_accept  - buffer-write: drain arriving flits and credits
+// Each stage has one implementation, driven by the router's VC-state masks
+// and the links' ready peeks. Per simulation cycle the owning Mesh runs, in
+// order:
+//   accept       - buffer-write: drain arriving flits and credits
+//                  (step_accept, or per link delivery accept_flit_due /
+//                  drain_credits_due)
 //   step_st      - switch traversal of the previous cycle's SA winners
 //   step_sa      - switch allocation (with bypass / secondary-path logic)
 //   step_va      - virtual-channel allocation (with arbiter sharing)
 //   step_rc      - route computation (with the duplicate RC unit)
-// A head flit therefore spends one cycle in each stage; with the 1-cycle
-// link this gives the canonical 4-stage-pipeline hop latency.
+// The full-sweep core calls the five step_* functions on every router
+// every cycle; the event core dispatches due deliveries and then runs the
+// last four, plus its retirement check, through step_cycle_event. A head
+// flit therefore spends one cycle in each stage; with the 1-cycle link this
+// gives the canonical 4-stage-pipeline hop latency.
 #pragma once
 
 #include <memory>
@@ -85,29 +92,22 @@ class Router {
   void attach_input(int port, Link* link);
   void attach_output(int port, Link* link);
 
+  /// Accept stage for every port: accept_flit_due then drain_credits_due.
   void step_accept(Cycle now);
   void step_st(Cycle now);
   void step_sa(Cycle now);
   void step_va(Cycle now);
+  /// Route computation on the ports whose routing-mask bit is set.
   void step_rc(Cycle now);
 
-  /// Event-core stage variants: bit-identical to the step_* counterparts.
-  /// step_accept_event consults the links' next_flit_ready / next_credit_ready
-  /// peeks so idle ports cost two compares; step_rc_event consults the
-  /// VC-state mask aggregate so only ports with a Routing VC are visited.
-  /// (SA and VA have one implementation each, driven by the masks, which
-  /// every core calls.)
-  void step_accept_event(Cycle now);
-  void step_rc_event(Cycle now);
-
-  /// Delivery-event entry points (event core): called by the Mesh when a
-  /// link's scheduled delivery cycle arrives, instead of scanning every
-  /// port's links. accept_flit_due takes at most one ready flit from input
-  /// port `p` (exactly what one step_accept visit does) and returns the
-  /// link's next ready cycle afterwards, so the Mesh can reschedule when a
-  /// further flit is already waiting behind the one just taken (kNeverCycle
-  /// when none). drain_credits_due drains every ready credit from output
-  /// port `p`'s return link.
+  /// Accept stage of one port. The event core calls these when a link's
+  /// scheduled delivery cycle arrives; step_accept calls them on every
+  /// port. Both gate on the link's ready peek, so an idle port costs one
+  /// compare. accept_flit_due takes at most one ready flit from input port
+  /// `p` and returns the link's next ready cycle afterwards, so the Mesh can
+  /// reschedule when a further flit is already waiting behind the one just
+  /// taken (kNeverCycle when none). drain_credits_due drains every ready
+  /// credit from output port `p`'s return link.
   Cycle accept_flit_due(int p, Cycle now);
   void drain_credits_due(int p, Cycle now);
 
@@ -116,25 +116,11 @@ class Router {
   /// the retirement condition in one pass. Returns true when the router must
   /// stay active next cycle: it holds pending work AND (grants are pending,
   /// a fault is present, or some stage made progress this cycle). A stalled
-  /// fault-free router whose digest did not change is a provable no-op until
-  /// the next wake. The stages only touch router-local state and push onto
+  /// fault-free router that made no progress is a provable no-op until the
+  /// next wake. The stages only touch router-local state and push onto
   /// links whose deliveries mature next cycle, so fusing per router is
   /// order-equivalent to the sweep's stage-major order.
   bool step_cycle_event(Cycle now);
-
-  /// Monotonic counter summarising every form of pipeline progress a
-  /// fault-free router can make in a cycle (buffer writes, swallows,
-  /// traversals, blocked-VC retries, VA allocations, RC computations, SA
-  /// packet transfers). The event core retires a fault-free router whose
-  /// digest did not change over a stepped cycle and whose ST queue is empty:
-  /// every input that could un-stall it (flit, credit, fault) arrives
-  /// through a wake.
-  std::uint64_t progress_digest() const {
-    return stats_.buffer_writes + stats_.flits_swallowed +
-           stats_.flits_traversed + stats_.blocked_vc_cycles +
-           stats_.va_allocations + stats_.rc_computations +
-           stats_.sa1_transfers;
-  }
 
   /// Restores the router to its just-constructed state (Mesh::reset_for_run):
   /// buffers, VC/flow-control state, arbiter pointers, stats, faults, death.
@@ -258,11 +244,6 @@ class Router {
 
  private:
   friend class RouterTestPeer;
-
-  /// Shared bodies of step_accept / step_accept_event: processing of one
-  /// taken flit and one output link's credit drain.
-  void accept_flit_from(Link& l, int p, Cycle now);
-  void drain_credits_from(Link& l, int p, Cycle now);
 
   /// Route computation for one head flit, including the SP/FSP secondary
   /// path determination (paper §V-A, §V-D). Blocked = an untolerated fault

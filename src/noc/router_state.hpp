@@ -27,7 +27,7 @@ struct StGrant {
 };
 
 /// Event counters for one router. The protection-mechanism counters feed the
-/// ablation benches (which mechanism fired how often under which fault).
+/// ablation campaigns (which mechanism fired how often under which fault).
 struct RouterStats {
   std::uint64_t flits_traversed = 0;
   std::uint64_t buffer_writes = 0;
@@ -62,6 +62,8 @@ struct RouterStats {
     escape_reroutes += o.escape_reroutes;
     flits_dropped += o.flits_dropped;
   }
+
+  friend bool operator==(const RouterStats&, const RouterStats&) = default;
 };
 
 }  // namespace rnoc::noc

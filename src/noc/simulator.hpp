@@ -58,6 +58,9 @@ struct SimReport {
   double avg_total_latency() const { return total_latency.mean(); }
   double avg_network_latency() const { return network_latency.mean(); }
   double latency_percentile(double q) const { return latency_hist.quantile(q); }
+
+  /// Field-wise; the determinism tests compare the two cores' reports.
+  friend bool operator==(const SimReport&, const SimReport&) = default;
 };
 
 class Simulator {
@@ -76,7 +79,7 @@ class Simulator {
 
   /// Runs warmup + measurement + drain and returns the report. One-shot.
   /// Dispatches on SimConfig::mesh.core: the EventDriven core additionally
-  /// fast-forwards the clock across provably idle stretches; all cores
+  /// fast-forwards the clock across provably idle stretches; both cores
   /// return bit-identical reports (test-enforced).
   SimReport run();
 

@@ -1,7 +1,7 @@
 // Parallel sweep runner: executes batches of independent simulations on the
 // shared thread pool.
 //
-// Every figure and ablation in bench/ is a sweep — dozens of Simulator runs
+// Every latency figure and ablation campaign is a sweep — dozens of runs
 // that differ only in config, traffic, fault plan or seed, with no data
 // dependencies between them. SweepRunner runs such a batch with one
 // parallel_for, one worker per in-flight simulation, and returns the reports

@@ -1,6 +1,6 @@
 // Fault-aware table-based routing — the *network-level* tolerance strategy
 // (Vicis-style rerouting around dead links/routers) as a counterpart to the
-// paper's router-level protection. Lets the benches compare "protect the
+// paper's router-level protection. Lets experiments compare "protect the
 // router" against "reroute around the router".
 //
 // Deadlock freedom comes from the west-first turn model: every route takes

@@ -1,6 +1,6 @@
 // Traffic generation: the TrafficModel interface and the classic synthetic
 // patterns (uniform random, transpose, bit-complement, tornado, neighbor,
-// hotspot) used by the load-sweep benches.
+// hotspot) used by the load-sweep campaign.
 #pragma once
 
 #include <utility>

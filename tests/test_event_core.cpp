@@ -69,10 +69,9 @@ TEST(EventCore, FaultsDueMidDrainBitIdentical) {
   tc.injection_rate = 0.15;
   tc.packet_size = 4;
 
-  SimReport reports[3];
-  const SimCore cores[] = {SimCore::FullSweep, SimCore::ActiveList,
-                           SimCore::EventDriven};
-  for (int i = 0; i < 3; ++i) {
+  SimReport reports[2];
+  const SimCore cores[] = {SimCore::FullSweep, SimCore::EventDriven};
+  for (int i = 0; i < 2; ++i) {
     SimConfig c = cfg;
     c.mesh.core = cores[i];
     Simulator sim(c, std::make_shared<traffic::SyntheticTraffic>(tc));
@@ -83,7 +82,6 @@ TEST(EventCore, FaultsDueMidDrainBitIdentical) {
   EXPECT_EQ(reports[0].faults_injected, 3);
   EXPECT_GT(reports[0].cycles_run, drain_start + 6);
   expect_identical(reports[0], reports[1]);
-  expect_identical(reports[0], reports[2]);
 }
 
 // --- Degraded-mode epoch switch during drain ---
@@ -119,18 +117,15 @@ TEST(EventCore, DegradedDeathMidDrainBitIdentical) {
   const SimReport sweep = run(SimCore::FullSweep);
   EXPECT_EQ(sweep.degraded.router_deaths, 1u);
   EXPECT_GE(sweep.degraded.reroute_epochs, 1u);
-  for (const SimCore c : {SimCore::ActiveList, SimCore::EventDriven}) {
-    SCOPED_TRACE(sim_core_name(c));
-    const SimReport fast = run(c);
-    expect_identical(sweep, fast);
-    EXPECT_EQ(fast.degraded.router_deaths, sweep.degraded.router_deaths);
-    EXPECT_EQ(fast.degraded.reroute_epochs, sweep.degraded.reroute_epochs);
-    EXPECT_EQ(fast.degraded.retransmits, sweep.degraded.retransmits);
-    EXPECT_EQ(fast.degraded.packets_acked, sweep.degraded.packets_acked);
-    EXPECT_EQ(fast.degraded.flits_blackholed, sweep.degraded.flits_blackholed);
-    EXPECT_EQ(fast.degraded.dropped_unreachable,
-              sweep.degraded.dropped_unreachable);
-  }
+  const SimReport fast = run(SimCore::EventDriven);
+  expect_identical(sweep, fast);
+  EXPECT_EQ(fast.degraded.router_deaths, sweep.degraded.router_deaths);
+  EXPECT_EQ(fast.degraded.reroute_epochs, sweep.degraded.reroute_epochs);
+  EXPECT_EQ(fast.degraded.retransmits, sweep.degraded.retransmits);
+  EXPECT_EQ(fast.degraded.packets_acked, sweep.degraded.packets_acked);
+  EXPECT_EQ(fast.degraded.flits_blackholed, sweep.degraded.flits_blackholed);
+  EXPECT_EQ(fast.degraded.dropped_unreachable,
+            sweep.degraded.dropped_unreachable);
 }
 
 // --- FaultInjector::next_due_cycle gate ---

@@ -1,6 +1,6 @@
 // Faulted-allocator oracle: exact SimReport stats for a seeded matrix of
 // runs whose fault plans hit every VA/SA allocator fault site, replayed on
-// all three sim cores and compared against the committed fixture
+// both sim cores and compared against the committed fixture
 // tests/faulted_allocators.fixture.
 //
 // The cross-core identity tests compare the cores with each other, so they
@@ -207,8 +207,7 @@ TEST(FaultedAllocators, MatrixMatchesFixtureOnEveryCore) {
   const auto fixture = load_fixture();
   ASSERT_EQ(fixture.size(), cases.size())
       << "tests/faulted_allocators.fixture missing or stale";
-  const SimCore cores[] = {SimCore::FullSweep, SimCore::ActiveList,
-                           SimCore::EventDriven};
+  const SimCore cores[] = {SimCore::FullSweep, SimCore::EventDriven};
   for (const Case& c : cases) {
     const auto it = fixture.find(c.name);
     ASSERT_NE(it, fixture.end()) << "no fixture line for " << c.name;

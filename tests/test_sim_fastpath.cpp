@@ -1,12 +1,13 @@
 // Tests for the simulator fast path: the RingBuffer backing VC/link FIFOs,
 // the mesh's incremental accounting counters, bit-identical behaviour of
-// active-router scheduling vs the full per-cycle sweep, and the parallel
-// sweep runner.
+// the event core vs the full per-cycle sweep, and the parallel sweep runner.
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 #include <vector>
 
+#include "campaign/figures.hpp"
 #include "common/rng.hpp"
 #include "fault/fault_injector.hpp"
 #include "noc/ring_buffer.hpp"
@@ -163,7 +164,7 @@ TEST(MeshCounters, QuiescentMeshStepsNoRouters) {
   EXPECT_EQ(m.routers_stepped_last_cycle(), 0);
 }
 
-// --- Active scheduling vs full sweep determinism ---
+// --- Event core vs full sweep determinism ---
 
 struct Scenario {
   const char* name;
@@ -225,6 +226,44 @@ void expect_identical(const SimReport& a, const SimReport& b) {
   EXPECT_EQ(a.router_events.blocked_vc_cycles,
             b.router_events.blocked_vc_cycles);
   EXPECT_EQ(a.faults_injected, b.faults_injected);
+  // Every remaining field too: full latency statistics and histogram,
+  // every router event counter, energy and degraded-mode accounting.
+  EXPECT_TRUE(a == b) << "reports differ in a field not listed above";
+}
+
+/// 8x8 uniform random traffic (size-5 packets) at `load` flits/node/cycle.
+SimReport run_uniform_8x8(double load, SimCore core) {
+  SimConfig cfg;
+  cfg.mesh.dims = {8, 8};
+  cfg.mesh.core = core;
+  cfg.warmup = 200;
+  cfg.measure = 1000;
+  cfg.drain_limit = 3000;
+  cfg.seed = 7;
+  traffic::SyntheticConfig tc;
+  tc.injection_rate = load;
+  tc.packet_size = 5;
+  Simulator sim(cfg, std::make_shared<traffic::SyntheticTraffic>(tc));
+  return sim.run();
+}
+
+/// The Figure-7 app sweep (SPLASH-2 apps on the paper's 8x8 protected mesh,
+/// each fault-free and under the per-stage fault plan) with the campaign's
+/// smoke windows, run sequentially on `core`.
+std::vector<SimReport> run_figure7(SimCore core) {
+  SimConfig cfg = campaign::figure_sim_config(/*smoke=*/true);
+  cfg.mesh.core = core;
+  std::vector<SimReport> reports;
+  const auto& apps = traffic::splash2_profiles();
+  for (std::size_t i = 0; i < apps.size(); ++i) {
+    for (const SweepJob& job :
+         campaign::figure_app_jobs(apps[i], cfg, 1000 + i)) {
+      Simulator sim(job.cfg, job.make_traffic());
+      if (!job.faults.entries().empty()) sim.set_fault_plan(job.faults);
+      reports.push_back(sim.run());
+    }
+  }
+  return reports;
 }
 
 TEST(ActiveScheduling, BitIdenticalToFullSweep) {
@@ -238,20 +277,32 @@ TEST(ActiveScheduling, BitIdenticalToFullSweep) {
   for (const Scenario& s : scenarios) {
     SCOPED_TRACE(s.name);
     const SimReport swept = run_scenario(s, SimCore::FullSweep);
-    const SimReport active = run_scenario(s, SimCore::ActiveList);
     const SimReport event = run_scenario(s, SimCore::EventDriven);
-    expect_identical(swept, active);
     expect_identical(swept, event);
     EXPECT_GT(event.packets_received, 0u);
+  }
+  // Low, medium and high uniform load on the paper's mesh size.
+  for (const double load : {0.05, 0.20, 0.40}) {
+    SCOPED_TRACE(load);
+    const SimReport event = run_uniform_8x8(load, SimCore::EventDriven);
+    expect_identical(run_uniform_8x8(load, SimCore::FullSweep), event);
+    EXPECT_GT(event.packets_received, 0u);
+  }
+  const std::vector<SimReport> swept = run_figure7(SimCore::FullSweep);
+  const std::vector<SimReport> event = run_figure7(SimCore::EventDriven);
+  ASSERT_EQ(swept.size(), event.size());
+  for (std::size_t i = 0; i < swept.size(); ++i) {
+    SCOPED_TRACE("figure-7 run " + std::to_string(i));
+    expect_identical(swept[i], event[i]);
+    EXPECT_GT(event[i].packets_received, 0u);
   }
 }
 
 TEST(ActiveScheduling, CoherenceTrafficIdentical) {
-  const SimCore cores[] = {SimCore::FullSweep, SimCore::ActiveList,
-                           SimCore::EventDriven};
+  const SimCore cores[] = {SimCore::FullSweep, SimCore::EventDriven};
   const auto& app = traffic::splash2_profiles().front();
-  SimReport reports[3];
-  for (int i = 0; i < 3; ++i) {
+  SimReport reports[2];
+  for (int i = 0; i < 2; ++i) {
     SimConfig cfg;
     cfg.mesh.dims = {4, 4};
     cfg.mesh.router.mode = core::RouterMode::Protected;
@@ -264,7 +315,6 @@ TEST(ActiveScheduling, CoherenceTrafficIdentical) {
     reports[i] = sim.run();
   }
   expect_identical(reports[0], reports[1]);
-  expect_identical(reports[0], reports[2]);
 }
 
 // --- SweepRunner ---

@@ -61,7 +61,7 @@ import cpplex  # noqa: E402
 
 HEADER_EXT = (".hpp", ".h")
 SOURCE_EXT = (".cpp", ".cc") + HEADER_EXT
-TOKEN_DIRS = ("src", "tests", "tools", "bench", "examples")
+TOKEN_DIRS = ("src", "tests", "tools", "examples")
 
 # --- determinism rule configuration -----------------------------------
 # Entry points: everything results/replay-determinism depends on.

@@ -24,16 +24,11 @@ git_sha is informational and ignored.
 
 Perf mode:
     compare_results.py --perf BASELINE NEW [--rel-tol 0.15]
-BASELINE/NEW are flat JSON files of numeric metrics (the bench_*.json
-format). Comparison is one-sided: a metric fails only when it regresses
-beyond the tolerance (keys ending in _seconds regress upward, rates/speedups
-regress downward). Booleans must match exactly.
-
-    compare_results.py --perf-merge RUN1 RUN2 -o OUT
-Merges repeated perf runs into their best-of (min seconds, max rates) to
-damp scheduler noise before gating. A key present in only one run, or a
-non-numeric key the runs disagree on, is kept as null — symmetrically, so a
-metric that vanished from either run fails the gate instead of escaping it.
+BASELINE/NEW are flat JSON files of numeric metrics (CI writes one per run
+from perfbench's result line; ci/perfbench_floor.json holds the floors).
+Comparison is one-sided: a metric fails only when it regresses beyond the
+tolerance (keys ending in _seconds regress upward, rates/speedups regress
+downward). Booleans must match exactly; a null or missing metric fails.
 
     compare_results.py --self-test
 Runs the built-in fixture suite (used by ctest) and exits non-zero on any
@@ -215,8 +210,8 @@ def run_perf_mode(opts):
                                     float(bv), float(nv)))
             continue
         if not isinstance(bv, (int, float)) or not isinstance(nv, (int, float)):
-            # e.g. a None from --perf-merge marking a vanished/disagreeing
-            # metric — fail it rather than skipping or crashing.
+            # e.g. a None marking a metric the run could not measure —
+            # fail it rather than skipping or crashing.
             drifts.append(Drift(key, "metric not numeric in one run"))
             continue
         allowed = opts.rel_tol * max(abs(bv), 1e-12)
@@ -226,30 +221,6 @@ def run_perf_mode(opts):
     report(drifts, f"{compared} perf metric(s) gated at "
                    f"±{opts.rel_tol:.0%} (one-sided)", opts)
     return 1 if drifts else 0
-
-
-def run_perf_merge(opts):
-    a, b = load_json(opts.golden), load_json(opts.new)
-    merged = {}
-    for key in list(a) + [k for k in b if k not in a]:
-        if key not in a or key not in b:
-            # A metric present in only one run has no valid best-of; keep the
-            # key as None (symmetrically) so the gate reports it rather than
-            # letting a vanished metric drop out silently.
-            merged[key] = None
-            continue
-        av, bv = a[key], b[key]
-        if isinstance(av, bool) or not isinstance(av, (int, float)) \
-                or not isinstance(bv, (int, float)):
-            # Non-numeric / boolean: runs must agree for the key to be kept.
-            merged[key] = av if av == bv else None
-            continue
-        merged[key] = min(av, bv) if perf_higher_is_worse(key) else max(av, bv)
-    with open(opts.output, "w", encoding="utf-8") as f:
-        json.dump(merged, f, indent=1)
-        f.write("\n")
-    print(f"compare_results: wrote best-of-two to {opts.output}")
-    return 0
 
 
 # --- reporting -------------------------------------------------------------
@@ -368,29 +339,6 @@ def self_test():
                   dict(perf_base, latencies_identical=False), 1)
     run_perf_pair("perf traced binary fails",
                   dict(perf_base, trace_hooks_compiled=True), 1)
-
-    def run_merge(label, r1, r2, expected_merged):
-        with tempfile.TemporaryDirectory() as d:
-            p1, p2, out = (os.path.join(d, f) for f in
-                           ("r1.json", "r2.json", "merged.json"))
-            for path, data in ((p1, r1), (p2, r2)):
-                with open(path, "w", encoding="utf-8") as f:
-                    json.dump(data, f)
-            expect(label, main(["--perf-merge", p1, p2, "-o", out]), 0)
-            with open(out, encoding="utf-8") as f:
-                merged = json.load(f)
-            if merged != expected_merged:
-                failures.append(f"{label}: merged {merged}, "
-                                f"expected {expected_merged}")
-
-    run_merge("merge keeps best-of",
-              {"a_seconds": 1.0, "rate": 5, "ok": True},
-              {"a_seconds": 2.0, "rate": 7, "ok": True},
-              {"a_seconds": 1.0, "rate": 7, "ok": True})
-    run_merge("merge nulls keys missing from either run",
-              {"a_seconds": 1.0, "only_in_1": 3.0},
-              {"a_seconds": 2.0, "only_in_2": 4.0},
-              {"a_seconds": 1.0, "only_in_1": None, "only_in_2": None})
     run_perf_pair("perf vanished (null) metric fails",
                   dict(perf_base, fault_free_cycles_per_sec=None), 1)
 
@@ -413,9 +361,6 @@ def main(argv=None):
     ap.add_argument("new", nargs="?", help="new result file or dir")
     ap.add_argument("--perf", action="store_true",
                     help="flat perf-JSON mode with one-sided gating")
-    ap.add_argument("--perf-merge", action="store_true",
-                    help="merge two perf runs into their best-of")
-    ap.add_argument("-o", "--output", help="output file for --perf-merge")
     ap.add_argument("--keys", help="comma-separated perf keys to gate "
                                    "(default: all numeric keys in baseline)")
     ap.add_argument("--rel-tol", type=float, default=0.15,
@@ -438,11 +383,6 @@ def main(argv=None):
     if opts.golden is None or opts.new is None:
         ap.print_usage(sys.stderr)
         return 2
-    if opts.perf_merge:
-        if not opts.output:
-            print("compare_results: --perf-merge requires -o", file=sys.stderr)
-            return 2
-        return run_perf_merge(opts)
     if opts.perf:
         return run_perf_mode(opts)
     return run_campaign_mode(opts)

@@ -33,7 +33,7 @@ import subprocess
 import sys
 import tempfile
 
-CODE_DIRS = ("src", "tests", "tools", "bench", "examples")
+CODE_DIRS = ("src", "tests", "tools", "examples")
 HEADER_EXT = (".hpp", ".h")
 SOURCE_EXT = (".cpp", ".cc") + HEADER_EXT
 # analyze_fixtures holds deliberate analyzer-rule violations; build trees
